@@ -11,11 +11,14 @@
 //	           [-retries 4] [-replicate 2] [-hot-min 64] [-vnodes 64]
 //	           [-backend posix|objstore[,profile]] <multifile>
 //
-// Endpoints:
+// Endpoints (the /rank and /ranks read surface is internal/readhttp,
+// shared with sionserve):
 //
 //	GET  /ranks                  JSON layout summary (tasks, files, sizes)
 //	GET  /rank/<r>               the rank's whole logical stream
 //	GET  /rank/<r>?off=O&n=N     N bytes from logical offset O
+//	GET  /rank/<r>/keys          JSON list of the rank's record keys
+//	GET  /rank/<r>/key/<k>       concatenated payload of key k's records
 //	GET  /stats                  JSON cluster + per-node counters
 //	GET  /metrics                Prometheus text exposition: router-level
 //	                             cluster_* families plus every node's
@@ -40,14 +43,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -56,6 +57,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fsio"
 	"repro/internal/obs"
+	"repro/internal/readhttp"
 	"repro/internal/resil"
 	"repro/internal/serve"
 )
@@ -80,7 +82,6 @@ var logger = obs.NewLogger(os.Stderr)
 const (
 	shutdownTimeout = 10 * time.Second
 	rebalanceEvery  = 5 * time.Second
-	retryAfterSecs  = "1"
 )
 
 func main() {
@@ -181,11 +182,11 @@ func main() {
 }
 
 // mux wires the handler table (split out so tests drive the handlers
-// through httptest without a listener).
+// through httptest without a listener): the read surface shared with
+// sionserve plus the router's /stats, /metrics, /healthz and /cluster ops.
 func (rt *router) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ranks", rt.handleRanks)
-	mux.HandleFunc("/rank/", rt.handleRank)
+	readhttp.New(rt.c, nil, logger).Mount(mux)
 	mux.HandleFunc("/stats", rt.handleStats)
 	mux.Handle("/metrics", obs.Handler(rt.c.Metrics()))
 	mux.HandleFunc("/healthz", rt.handleHealthz)
@@ -204,26 +205,6 @@ func (rt *router) handler() http.Handler {
 	return obs.HTTPMiddleware(rt.mux(), logger, rt.slow)
 }
 
-func (rt *router) handleRanks(w http.ResponseWriter, _ *http.Request) {
-	l := rt.c.Layout()
-	type rankInfo struct {
-		Rank  int   `json:"rank"`
-		File  int   `json:"file"`
-		Bytes int64 `json:"bytes"`
-	}
-	out := struct {
-		Name  string     `json:"name"`
-		Tasks int        `json:"tasks"`
-		Files int        `json:"files"`
-		FSBlk int64      `json:"fs_block_size"`
-		Ranks []rankInfo `json:"ranks"`
-	}{Name: l.Name(), Tasks: l.NTasks(), Files: l.NumFiles(), FSBlk: l.FSBlockSize()}
-	for g, loc := range l.Mapping() {
-		out.Ranks = append(out.Ranks, rankInfo{Rank: g, File: int(loc.File), Bytes: l.RankSize(g)})
-	}
-	writeJSON(w, out)
-}
-
 func (rt *router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, rt.c.Stats())
 }
@@ -236,7 +217,7 @@ func (rt *router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := "ok"
 	if degraded {
 		status = "degraded"
-		w.Header().Set("Retry-After", retryAfterSecs)
+		w.Header().Set("Retry-After", readhttp.RetryAfterSecs)
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	writeJSON(w, struct {
@@ -293,113 +274,5 @@ func (rt *router) handleClusterOp(w http.ResponseWriter, r *http.Request) {
 	rt.handleCluster(w, r)
 }
 
-// handleRank answers /rank/<r> whole or windowed, streaming through the
-// cluster data path.
-func (rt *router) handleRank(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/rank/")
-	rank, err := strconv.Atoi(rest)
-	if err != nil {
-		http.Error(w, "bad rank", http.StatusBadRequest)
-		return
-	}
-	h, err := rt.c.Open(rank)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	// Thread the request's span down the cluster data path so the layers
-	// below leave breadcrumbs (cache hit / peer fill / failover) on it.
-	h.SetSpan(obs.SpanFrom(r.Context()))
-	rt.serveBytes(w, r, h)
-}
-
-// serveChunk bounds the buffer serveBytes streams through, so a full-rank
-// GET never materializes the whole logical stream.
-const serveChunk int64 = 1 << 20
-
-// serveBytes mirrors sionserve's window contract: malformed off/n are
-// 400s, a well-formed off outside [0, size] is a 416, n past the end is
-// clamped, off == size is a valid empty window. The first chunk is read
-// before the status line goes out so immediate failures map through
-// httpError; later failures are logged and the body cut short.
-func (rt *router) serveBytes(w http.ResponseWriter, r *http.Request, h *serve.Handle) {
-	size := h.LogicalSize()
-	off, n := int64(0), size
-	q := r.URL.Query()
-	if v := q.Get("off"); v != "" {
-		parsed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			http.Error(w, "off is not an integer", http.StatusBadRequest)
-			return
-		}
-		if parsed < 0 || parsed > size {
-			http.Error(w, fmt.Sprintf("off %d outside the logical stream (0..%d)", parsed, size),
-				http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		off = parsed
-		n = size - off
-	}
-	if v := q.Get("n"); v != "" {
-		want, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || want < 0 {
-			http.Error(w, "n is not a byte count", http.StatusBadRequest)
-			return
-		}
-		if want < n {
-			n = want
-		}
-	}
-	buf := make([]byte, min(n, serveChunk))
-	if n > 0 {
-		if _, err := h.ReadLogicalAt(buf[:min(n, serveChunk)], off); err != nil {
-			httpError(w, err)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	for sent := int64(0); sent < n; {
-		m := min(n-sent, serveChunk)
-		if sent > 0 { // the first chunk was read before the headers
-			if _, err := h.ReadLogicalAt(buf[:m], off+sent); err != nil {
-				logger.Error("reading stream", "req", obs.SpanFrom(r.Context()).ID(),
-					"path", r.URL.Path, "at", sent, "of", n, "err", err)
-				return
-			}
-		}
-		if _, err := w.Write(buf[:m]); err != nil {
-			logger.Error("writing response", "req", obs.SpanFrom(r.Context()).ID(),
-				"path", r.URL.Path, "at", sent, "of", n, "err", err)
-			return
-		}
-		sent += m
-	}
-}
-
-// httpError maps a read failure to its status: a cluster with every
-// replica of a block down is 503 + Retry-After (the breakers re-probe
-// after their cooldown), everything else stays a 500.
-func httpError(w http.ResponseWriter, err error) {
-	if errors.Is(err, serve.ErrDegraded) {
-		w.Header().Set("Retry-After", retryAfterSecs)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
-}
-
-// writeJSON marshals before touching the ResponseWriter so an encoding
-// failure can still become a 500; a failed write afterwards is logged.
-func writeJSON(w http.ResponseWriter, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		logger.Error("encoding response", "err", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		logger.Error("writing response", "err", err)
-	}
-}
+// writeJSON is readhttp.WriteJSON logging through this process's logger.
+func writeJSON(w http.ResponseWriter, v any) { readhttp.WriteJSON(w, logger, v) }

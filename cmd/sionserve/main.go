@@ -7,7 +7,8 @@
 //
 //	sionserve [-addr :8080] [-cache-mb 64] [-block N] [-retries 4] <multifile>
 //
-// Endpoints:
+// Endpoints (the /rank and /ranks read surface is internal/readhttp,
+// shared with sionrouter):
 //
 //	GET /ranks                  JSON layout summary (tasks, files, sizes)
 //	GET /rank/<r>               the rank's whole logical stream
@@ -42,22 +43,19 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/backendflag"
 	sion "repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/readhttp"
 	"repro/internal/resil"
 	"repro/internal/serve"
 )
@@ -67,8 +65,9 @@ type server struct {
 	slow  time.Duration // slow-request log threshold (0 disables)
 	pprof bool          // mount /debug/pprof/
 
-	mu   sync.Mutex
-	keys map[int]*sion.KeyReader // lazily built per rank, shared by clients
+	// keys caches each rank's key index for the read surface (one
+	// readhttp.Surface per server: mux is built once).
+	keys map[int]*sion.KeyReader
 }
 
 // logger is the process-wide structured logger. It mostly reports
@@ -154,11 +153,11 @@ func main() {
 }
 
 // mux wires the handler table (split out so tests drive the handlers
-// through httptest without a listener).
+// through httptest without a listener): the shared read surface plus this
+// front end's /stats, /metrics and /healthz.
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ranks", s.handleRanks)
-	mux.HandleFunc("/rank/", s.handleRank)
+	readhttp.New(s.srv, s.keys, logger).Mount(mux)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.Handle("/metrics", obs.Handler(s.srv.Metrics()))
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -184,7 +183,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := "ok"
 	if degraded {
 		status = "degraded"
-		w.Header().Set("Retry-After", retryAfterSecs)
+		w.Header().Set("Retry-After", readhttp.RetryAfterSecs)
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	writeJSON(w, struct {
@@ -193,211 +192,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}{Status: status, Files: health})
 }
 
-// retryAfterSecs is the Retry-After hint sent with degraded 503s. The
-// breaker cooldown is request-counted, so any client backoff that sheds
-// immediate retries is appropriate; a small constant keeps well-behaved
-// clients probing at a reasonable rate.
-const retryAfterSecs = "1"
-
-// httpError maps a read failure to its status: degraded backends are
-// 503 + Retry-After (temporary by construction — the circuit re-probes
-// after its cooldown), everything else stays a 500.
-func httpError(w http.ResponseWriter, err error) {
-	if errors.Is(err, serve.ErrDegraded) {
-		w.Header().Set("Retry-After", retryAfterSecs)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusInternalServerError)
-}
-
-func (s *server) handleRanks(w http.ResponseWriter, _ *http.Request) {
-	l := s.srv.Layout()
-	type rankInfo struct {
-		Rank  int   `json:"rank"`
-		File  int   `json:"file"`
-		Bytes int64 `json:"bytes"`
-	}
-	out := struct {
-		Name  string     `json:"name"`
-		Tasks int        `json:"tasks"`
-		Files int        `json:"files"`
-		FSBlk int64      `json:"fs_block_size"`
-		Ranks []rankInfo `json:"ranks"`
-	}{Name: l.Name(), Tasks: l.NTasks(), Files: l.NumFiles(), FSBlk: l.FSBlockSize()}
-	for g, loc := range l.Mapping() {
-		out.Ranks = append(out.Ranks, rankInfo{Rank: g, File: int(loc.File), Bytes: l.RankSize(g)})
-	}
-	writeJSON(w, out)
-}
-
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.srv.Stats())
 }
 
-// handleRank routes /rank/<r>, /rank/<r>/keys, and /rank/<r>/key/<k>.
-func (s *server) handleRank(w http.ResponseWriter, r *http.Request) {
-	parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/rank/"), "/")
-	rank, err := strconv.Atoi(parts[0])
-	if err != nil {
-		http.Error(w, "bad rank", http.StatusBadRequest)
-		return
-	}
-	h, err := s.srv.Open(rank)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	// Thread the request's span down the read path so the layers below
-	// leave breadcrumbs (cache hit / backend read / retry) on it.
-	h.SetSpan(obs.SpanFrom(r.Context()))
-	switch {
-	case len(parts) == 1:
-		s.serveBytes(w, r, h)
-	case len(parts) == 2 && parts[1] == "keys":
-		kr, err := s.keyReader(rank, h)
-		if err != nil {
-			keyReaderError(w, err)
-			return
-		}
-		writeJSON(w, kr.Keys())
-	case len(parts) == 3 && parts[1] == "key":
-		key, err := strconv.ParseUint(parts[2], 10, 64)
-		if err != nil {
-			http.Error(w, "bad key", http.StatusBadRequest)
-			return
-		}
-		kr, err := s.keyReader(rank, h)
-		if err != nil {
-			keyReaderError(w, err)
-			return
-		}
-		data, err := kr.ReadKey(key)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := w.Write(data); err != nil {
-			logger.Error("writing response",
-				"req", obs.SpanFrom(r.Context()).ID(), "rank", rank, "key", key, "err", err)
-		}
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-// serveChunk bounds the buffer serveBytes streams through: a rank's
-// logical stream can be arbitrarily large, so the window is read and
-// written in pieces instead of materialized in one allocation sized by
-// the client's n.
-const serveChunk int64 = 1 << 20
-
-// serveBytes answers /rank/<r> with the whole stream or the ?off=&n=
-// window. Malformed values are 400s; a well-formed off outside [0, size]
-// is a 416 (range not satisfiable, mirroring HTTP range semantics); a
-// count past the end is clamped to the stream's tail. off == size is a
-// valid empty window.
-//
-// The first chunk is read before the status line is committed, so an
-// immediately failing backend still maps through httpError (503 when
-// degraded). Once headers are out the status can't change: mid-stream
-// failures are logged and the response cut short of its Content-Length,
-// which clients detect as a truncated body.
-func (s *server) serveBytes(w http.ResponseWriter, r *http.Request, h *serve.Handle) {
-	size := h.LogicalSize()
-	off, n := int64(0), size
-	q := r.URL.Query()
-	if v := q.Get("off"); v != "" {
-		parsed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			http.Error(w, "off is not an integer", http.StatusBadRequest)
-			return
-		}
-		if parsed < 0 || parsed > size {
-			http.Error(w, fmt.Sprintf("off %d outside the logical stream (0..%d)", parsed, size),
-				http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		off = parsed
-		n = size - off
-	}
-	if v := q.Get("n"); v != "" {
-		want, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || want < 0 {
-			http.Error(w, "n is not a byte count", http.StatusBadRequest)
-			return
-		}
-		if want < n {
-			n = want
-		}
-	}
-	buf := make([]byte, min(n, serveChunk))
-	if n > 0 {
-		if _, err := h.ReadLogicalAt(buf[:min(n, serveChunk)], off); err != nil {
-			httpError(w, err)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	for sent := int64(0); sent < n; {
-		m := min(n-sent, serveChunk)
-		if sent > 0 { // the first chunk was read before the headers
-			if _, err := h.ReadLogicalAt(buf[:m], off+sent); err != nil {
-				logger.Error("reading stream", "req", obs.SpanFrom(r.Context()).ID(),
-					"path", r.URL.Path, "at", sent, "of", n, "err", err)
-				return
-			}
-		}
-		if _, err := w.Write(buf[:m]); err != nil {
-			logger.Error("writing response", "req", obs.SpanFrom(r.Context()).ID(),
-				"path", r.URL.Path, "at", sent, "of", n, "err", err)
-			return
-		}
-		sent += m
-	}
-}
-
-// keyReaderError distinguishes "this rank has no key records" (a client
-// mistake, 400) from a degraded backend interrupting the index scan (503).
-func keyReaderError(w http.ResponseWriter, err error) {
-	if errors.Is(err, serve.ErrDegraded) {
-		httpError(w, err)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusBadRequest)
-}
-
-// keyReader returns the rank's shared key index, building it on first use
-// (the scan runs through the block cache, so later ranks and clients
-// reuse its backend reads).
-func (s *server) keyReader(rank int, h *serve.Handle) (*sion.KeyReader, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if kr, ok := s.keys[rank]; ok {
-		return kr, nil
-	}
-	kr, err := h.KeyReader()
-	if err != nil {
-		return nil, err
-	}
-	s.keys[rank] = kr
-	return kr, nil
-}
-
-// writeJSON marshals before touching the ResponseWriter so an encoding
-// failure can still become a 500; a failed write afterwards can only be
-// logged (the 200 is already committed).
-func writeJSON(w http.ResponseWriter, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		logger.Error("encoding response", "err", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		logger.Error("writing response", "err", err)
-	}
-}
+// writeJSON is readhttp.WriteJSON logging through this process's logger.
+func writeJSON(w http.ResponseWriter, v any) { readhttp.WriteJSON(w, logger, v) }

@@ -20,7 +20,23 @@ import (
 // cheap because every chunk address is a pure function of the metadata, so
 // no data moves when the task count changes.
 //
-// Two data paths mirror ParOpen's read side:
+// This is the only read open: ParOpen in read mode is the identity case
+// (every task owns its own rank, M = N), and SerialFile's read path and
+// OpenRank are the no-communicator cases (openMappedLocal): the serial
+// global view is "one reader owns every rank", OpenRank is "one reader
+// owns one rank".
+//
+// Metadata exchange, O(owned ranks + files read) per reader: rank 0 parses
+// file 0's metablock 1, broadcasts the layout basics, gathers the
+// ownership claims, and validates them against the mapping, which never
+// leaves rank 0. It then scatters to each reader the files holding its
+// ranks, and to each file's parser that file's (rank, local rank, reader)
+// list. The parser is the lowest-numbered task that opens the file anyway
+// (a reader of it, or one of its collectors), so no task touches a
+// physical file only to parse metadata; it reads metablocks 1 and 2 once
+// and sends every reader the geometry of exactly its ranks.
+//
+// Two data paths:
 //
 //   - Direct (CollectorGroup 0/1): a reader opens each physical file that
 //     holds one of its ranks once, shares that handle among its rank views,
@@ -32,14 +48,9 @@ import (
 //     spans are contiguous chunk runs, a collector fetches one whole span
 //     per (file, block) — a few large reads — and scatters each rank's
 //     logical stream to its member. Members never touch the file; their
-//     handles serve reads from memory. Like ParOpen's collective read,
-//     this prefetches complete streams at open, so it is meant for
-//     restart-scale volumes, and a failure anywhere in a group fails the
-//     whole group's open.
-//
-// SerialFile's read path and OpenRank are the no-communicator special
-// cases of the same machinery (openMappedLocal): the serial global view is
-// "one reader owns every rank", OpenRank is "one reader owns one rank".
+//     handles serve reads from memory. This prefetches complete streams at
+//     open, so it is meant for restart-scale volumes, and a failure
+//     anywhere in a group fails the whole group's open.
 
 // Message tags for the mapped-open exchanges.
 const (
@@ -96,29 +107,27 @@ func BalancedMapping(reader, nreaders, ntasks int) []int {
 // writer ranks this reader takes over (nil = the balanced contiguous
 // partition of BalancedMapping); across the communicator the sets must be
 // disjoint, but they need not cover all N ranks. Every task of comm must
-// call it with the same name, mode, and options. Only ReadMode is
-// supported: rescaling a multifile's writer side is a rewrite (Defrag),
-// not a reopen.
+// call it with the same name, mode, and options; the options resolve
+// against rank 0's backend descriptor. Only ReadMode is supported:
+// rescaling a multifile's writer side is a rewrite (Defrag), not a reopen.
 //
-// Unlike ParOpen, neither open nor Close performs a global barrier beyond
-// the metadata exchange: in direct mode a reader whose metadata fails
-// errors alone; in collective mode a failure fails the collector's whole
-// group (whose members would otherwise hold handles served by nobody).
+// Neither open nor Close performs a global barrier beyond the metadata
+// exchange: in direct mode a failure fails the readers of the affected
+// physical file; in collective mode it fails the collector's whole group
+// (whose members would otherwise hold handles served by nobody).
 func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode, owned []int, opts *Options) (*MappedFile, error) {
 	if mode != ReadMode {
 		return nil, fmt.Errorf("sion: ParOpenMapped %s: unsupported mode %v (mapped open reads an existing multifile)", name, mode)
 	}
-	o, err := opts.withDefaults(comm.Size(), fsio.CapabilitiesOf(fsys))
+	o, err := opts.withDefaults(comm.Size(), bcastCapabilities(comm, fsys))
 	if err != nil {
 		return nil, err
 	}
 
-	// Rank 0 parses file 0's metablock 1 and broadcasts the layout basics,
-	// the resolved collector group, and the full global mapping: with M≠N
-	// no reader can assume its own placement exists, so everyone needs the
-	// table (format.go's mapping codec, validated on every rank).
+	// Rank 0 parses file 0's metablock 1 and broadcasts the layout basics
+	// and the resolved collector group; the mapping stays with it.
 	hdr := make([]int64, 6)
-	var mapEnc []byte
+	var mapping []FileLoc
 	if comm.Rank() == 0 {
 		fh, oerr := fsys.Open(fileName(name, 0))
 		if oerr != nil {
@@ -135,25 +144,19 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 				avg := newGeometry(h).stride / int64(h.NTasksLocal)
 				group := resolveCollectorGroup(o.CollectorGroup, comm.Size(), avg*int64(comm.Size()), h.FSBlockSize)
 				hdr = []int64{0, int64(h.NTasksGlobal), int64(h.NFiles), h.FSBlockSize, int64(h.Flags), int64(group)}
-				mapEnc = encodeMapping(h.Mapping)
+				mapping = h.Mapping
 			}
 		}
 	}
-	hdr = decodeInt64s(comm.Bcast(0, encodeInt64s(hdr)))
-	mapEnc = comm.Bcast(0, mapEnc)
+	hdr = comm.BcastInt64s(0, hdr)
 	if hdr[0] != 0 {
 		return nil, fmt.Errorf("sion: ParOpenMapped %s failed (status %d: missing file or corrupt header)", name, hdr[0])
 	}
 	ntasks, nfiles, fsblk := int(hdr[1]), int(hdr[2]), hdr[3]
 	flags, group := uint64(hdr[4]), int(hdr[5])
-	mapping, err := decodeMapping(mapEnc, ntasks, nfiles)
-	if err != nil {
-		return nil, fmt.Errorf("sion: ParOpenMapped %s: %w", name, err)
-	}
 
-	// Ownership: gather every reader's claimed ranks at rank 0, which
-	// validates range and global disjointness and broadcasts the owner
-	// table (owner[g] = reader rank, -1 unowned).
+	// Ownership: rank 0 gathers the claims, validates them, and answers
+	// each reader with its plan (see planMappedOpen).
 	if owned == nil {
 		owned = BalancedMapping(comm.Rank(), comm.Size(), ntasks)
 	} else {
@@ -164,73 +167,36 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 	for i, g := range owned {
 		claim[i] = int64(g)
 	}
-	parts := comm.Gatherv(0, encodeInt64s(claim))
-	var ownerEnc []byte
+	claims := comm.GatherInt64Slice(0, claim)
+	var plans [][]int64
 	if comm.Rank() == 0 {
-		status := int64(0)
-		owner := make([]int64, ntasks)
-		for g := range owner {
-			owner[g] = -1
-		}
-		for r, p := range parts {
-			for _, gv := range decodeInt64s(p) {
-				if gv < 0 || gv >= int64(ntasks) || owner[gv] != -1 {
-					status = 1
-					continue
-				}
-				owner[gv] = int64(r)
-			}
-		}
-		ownerEnc = encodeInt64s(append([]int64{status}, owner...))
+		plans = planMappedOpen(mapping, claims, nfiles, group)
 	}
-	ownerVals := decodeInt64s(comm.Bcast(0, ownerEnc))
-	if ownerVals[0] != 0 {
+	plan := comm.ScatterInt64Slice(0, plans)
+	if plan[0] != 0 {
 		return nil, fmt.Errorf("sion: ParOpenMapped %s: invalid ownership (a writer rank outside 0..%d, or owned by two readers)", name, ntasks-1)
 	}
-	owner := ownerVals[1:]
+	nread := int(plan[1])
+	reads := plan[2 : 2+2*nread] // (file, parser) pairs, ascending file
+	jobs := plan[2+2*nread:]
 
-	// Deterministic work split every reader computes identically: which
-	// readers need which physical file, and who parses it (file k's
-	// metadata is parsed once, by reader k mod M, and fanned out).
-	needs := make([][]int, nfiles)
-	inNeed := make([]map[int]bool, nfiles)
-	for g, w := range owner {
-		if w < 0 {
-			continue
-		}
-		k := int(mapping[g].File)
-		if inNeed[k] == nil {
-			inNeed[k] = make(map[int]bool)
-		}
-		if !inNeed[k][int(w)] {
-			inNeed[k][int(w)] = true
-			needs[k] = append(needs[k], int(w))
-		}
-	}
-	mineByFile := make(map[int][]int)
-	var myFiles []int
-	for _, g := range owned {
-		k := int(mapping[g].File)
-		if len(mineByFile[k]) == 0 {
-			myFiles = append(myFiles, k)
-		}
-		mineByFile[k] = append(mineByFile[k], g)
-	}
-	sort.Ints(myFiles)
-
-	// Parse assigned files and fan the per-rank records out (sends are
-	// eager, so all parsers send before anyone blocks in Recv below).
-	for k := 0; k < nfiles; k++ {
-		if len(needs[k]) == 0 || k%comm.Size() != comm.Rank() {
-			continue
-		}
+	// Parse assigned files and send each reader its ranks' records (sends
+	// are eager, so all parsers send before anyone blocks in Recv below).
+	for len(jobs) > 0 {
+		k, n := int(jobs[0]), int(jobs[1])
+		triples := jobs[2 : 2+3*n]
+		jobs = jobs[2+3*n:]
 		pf, lerr := loadSegment(fsys, name, k)
 		if lerr == nil && int(pf.h.NTasksGlobal) != ntasks {
 			lerr = fmt.Errorf("%w: segment %d disagrees on task count", ErrCorrupt, k)
 		}
-		sort.Ints(needs[k])
-		for _, r := range needs[k] {
-			comm.Send(r, tagMappedMeta, encodeInt64s(encodeMappedMeta(pf, lerr, k, owner, mapping, r)))
+		for len(triples) > 0 {
+			reader, run := triples[2], 3
+			for run < len(triples) && triples[run+2] == reader {
+				run += 3
+			}
+			comm.Send(int(reader), tagMappedMeta, encodeInt64s(encodeMappedMeta(pf, lerr, k, triples[:run])))
+			triples = triples[run:]
 		}
 		if pf != nil {
 			pf.fh.Close()
@@ -241,14 +207,15 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 	// after a failure so no stray frame outlives the open.
 	handles := make(map[int]*File, len(owned))
 	metaFailed := false
-	for _, k := range myFiles {
-		vals := decodeInt64s(comm.Recv(k%comm.Size(), tagMappedMeta))
+	hdrs := flags&flagChunkHeaders != 0
+	for i := 0; i < nread; i++ {
+		k := int(reads[2*i])
+		vals := decodeInt64s(comm.Recv(int(reads[2*i+1]), tagMappedMeta))
 		recs, derr := decodeMappedMeta(vals, ntasks, k)
 		if derr != nil {
 			metaFailed = true
 			continue
 		}
-		hdrs := flags&flagChunkHeaders != 0
 		for _, rec := range recs {
 			handles[rec.global] = &File{
 				fsys: fsys, name: name, mode: ReadMode,
@@ -290,22 +257,123 @@ func ParOpenMapped(comm *mpi.Comm, fsys fsio.FileSystem, name string, mode Mode,
 	if metaFailed {
 		return nil, fmt.Errorf("sion: ParOpenMapped %s: metadata exchange failed (corrupt or missing segment)", name)
 	}
-	mf.fhs = make(map[int]fsio.File, len(myFiles))
-	for _, k := range myFiles {
+	mf.fhs = make(map[int]fsio.File, nread)
+	for i := 0; i < nread; i++ {
+		k := int(reads[2*i])
 		fh, oerr := fsys.Open(fileName(name, k))
 		if oerr != nil {
 			mf.Close()
 			return nil, fmt.Errorf("sion: ParOpenMapped %s: opening physical file %d: %w", name, k, oerr)
 		}
 		mf.fhs[k] = fh
-		for _, g := range mineByFile[k] {
-			handles[g].fh = fh
-		}
 	}
 	for _, g := range owned {
-		handles[g].initStaging(o.BufferSize)
+		h := handles[g]
+		h.fh = mf.fhs[h.filenum]
+		h.initStaging(o.BufferSize)
 	}
 	return mf, nil
+}
+
+// planMappedOpen is rank 0's half of the metadata exchange. It validates
+// the readers' ownership claims (each rank in 0..N-1, owned at most once)
+// and builds one plan per reader:
+//
+//	[0, nread, (file, parser) × nread ascending by file,
+//	 then per file it parses: file, n, (rank, local rank, reader) × n]
+//
+// A file's triples are ordered by reader, then rank, so its parser sends
+// each reader one message. The parser is the lowest-numbered task that
+// opens the file anyway: a reader of it in direct mode, one of its
+// collectors in collective mode. An invalid claim yields the bare status
+// plan [1] for every reader.
+func planMappedOpen(mapping []FileLoc, claims [][]int64, nfiles, group int) [][]int64 {
+	m := len(claims)
+	plans := make([][]int64, m)
+	owner := make([]bool, len(mapping))
+	parser := make([]int, nfiles)
+	for k := range parser {
+		parser[k] = m // no parser: nobody reads the file
+	}
+	start := make([]int, nfiles+1) // owned ranks per file, then offsets
+	for r, cl := range claims {
+		opener := r
+		if group > 1 {
+			opener -= r % group
+		}
+		for _, g := range cl {
+			if g < 0 || g >= int64(len(mapping)) || owner[g] {
+				for i := range plans {
+					plans[i] = []int64{1}
+				}
+				return plans
+			}
+			owner[g] = true
+			k := mapping[g].File
+			start[k+1]++
+			parser[k] = min(parser[k], opener)
+		}
+	}
+	for k := 0; k < nfiles; k++ {
+		start[k+1] += start[k]
+	}
+	// Triples bucketed by file; claims arrive in reader order, each
+	// ascending, which gives the (reader, rank) order within a file.
+	triples := make([]int64, 3*start[nfiles])
+	next := append([]int(nil), start[:nfiles]...)
+	for r, cl := range claims {
+		for _, g := range cl {
+			loc := mapping[g]
+			i := 3 * next[loc.File]
+			triples[i], triples[i+1], triples[i+2] = g, int64(loc.LocalRank), int64(r)
+			next[loc.File]++
+		}
+	}
+	// Files bucketed by parser, each bucket ascending.
+	jobStart := make([]int, m+2)
+	for _, p := range parser {
+		jobStart[p+1]++
+	}
+	for r := 0; r <= m; r++ {
+		jobStart[r+1] += jobStart[r]
+	}
+	jobs := make([]int, nfiles)
+	next = append(next[:0], jobStart...)
+	for k, p := range parser {
+		jobs[next[p]] = k
+		next[p]++
+	}
+	flat := make([]int64, 0, 3*m+len(triples)+4*nfiles)
+	ends := make([]int, m+1)    // reader r's plan is flat[ends[r]:ends[r+1]]
+	seen := make([]int, nfiles) // reader+1 that last listed the file
+	for r, cl := range claims {
+		flat = append(flat, 0, 0)
+		base := len(flat)
+		for _, g := range cl {
+			k := mapping[g].File
+			if seen[k] == r+1 {
+				continue
+			}
+			seen[k] = r + 1
+			flat = append(flat, int64(k), int64(parser[k]))
+			// Insertion step: keep the pairs ascending by file, the
+			// order in which each parser sends.
+			for i := len(flat) - 2; i > base && flat[i-2] > flat[i]; i -= 2 {
+				flat[i-2], flat[i] = flat[i], flat[i-2]
+				flat[i-1], flat[i+1] = flat[i+1], flat[i-1]
+			}
+		}
+		flat[base-1] = int64((len(flat) - base) / 2)
+		for _, k := range jobs[jobStart[r]:jobStart[r+1]] {
+			flat = append(flat, int64(k), int64(start[k+1]-start[k]))
+			flat = append(flat, triples[3*start[k]:3*start[k+1]]...)
+		}
+		ends[r+1] = len(flat)
+	}
+	for r := range plans {
+		plans[r] = flat[ends[r]:ends[r+1]:ends[r+1]]
+	}
+	return plans
 }
 
 // mappedRankMeta is one writer rank's geometry record in a parser→reader
@@ -319,32 +387,27 @@ type mappedRankMeta struct {
 	blockBytes    []int64
 }
 
-// encodeMappedMeta builds the metadata message parser of file k sends to
-// one reader: [status, filenum, nrec, then per owned rank of that reader
-// in file k: g, lrank, chunkSize, start, stride, aligned, prefix, nblocks,
-// blockBytes...]. A load error becomes a bare failure status.
-func encodeMappedMeta(pf *physFile, lerr error, k int, owner []int64, mapping []FileLoc, reader int) []int64 {
+// encodeMappedMeta builds the metadata message the parser of file k sends
+// to one reader, covering that reader's (rank, local rank, reader) triples:
+// [status, filenum, nrec, then per rank: g, lrank, chunkSize, start,
+// stride, aligned, prefix, nblocks, blockBytes...]. A load error becomes a
+// bare failure status.
+func encodeMappedMeta(pf *physFile, lerr error, k int, triples []int64) []int64 {
 	if lerr != nil {
 		return []int64{1, int64(k), 0}
 	}
-	vals := []int64{0, int64(k), 0}
-	nrec := int64(0)
-	for g := range owner {
-		if int(owner[g]) != reader || int(mapping[g].File) != k {
-			continue
-		}
-		li := int(mapping[g].LocalRank)
+	vals := []int64{0, int64(k), int64(len(triples) / 3)}
+	for i := 0; i < len(triples); i += 3 {
+		li := int(triples[i+1])
 		if li >= int(pf.h.NTasksLocal) {
 			return []int64{2, int64(k), 0} // mapping points outside the segment
 		}
 		bb := pf.m2.BlockBytes[li]
-		vals = append(vals, int64(g), int64(li), pf.h.ChunkSizes[li],
+		vals = append(vals, triples[i], int64(li), pf.h.ChunkSizes[li],
 			pf.geo.start, pf.geo.stride, pf.geo.aligned[li], pf.geo.prefix[li],
 			int64(len(bb)))
 		vals = append(vals, bb...)
-		nrec++
 	}
-	vals[2] = nrec
 	return vals
 }
 
@@ -438,6 +501,9 @@ func (mf *MappedFile) collectiveFetch(group int, localErr bool) error {
 	rank := comm.Rank()
 	lead := rank - rank%group
 	mf.collGroup, mf.collLead = group, rank == lead
+	for _, h := range mf.handles {
+		h.collGroup, h.collLead = group, mf.collLead
+	}
 
 	failErr := func() error {
 		return fmt.Errorf("sion: ParOpenMapped %s: collective mapped read failed in collector %d's group", mf.name, lead)
@@ -445,8 +511,7 @@ func (mf *MappedFile) collectiveFetch(group int, localErr bool) error {
 
 	if !mf.collLead {
 		// Request: [status, nranks, per rank: g, file, dataOff0, stride,
-		// nblocks, blockBytes...] — same chunk arithmetic collReadRequest
-		// ships on the same-cardinality path.
+		// nblocks, blockBytes...].
 		req := []int64{0, int64(len(mf.owned))}
 		if localErr {
 			req = []int64{1, 0}

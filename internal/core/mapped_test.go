@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestMappedReopenRescaled(t *testing.T) {
 	maps := []struct {
 		name string
 		fn   MapFunc
-	}{{"contig", ContiguousMap}, {"rr", RoundRobinMap}}
+	}{{"contig", ContiguousMap}, {"rr", RoundRobinMap}, {"reverse", reverseMap}}
 	for _, m := range maps {
 		for _, M := range []int{1, 4, 5, 12, 19} {
 			for _, group := range []int{0, 3} {
@@ -199,6 +200,117 @@ func TestMappedReopenRescaled(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// reverseMap places consecutive tasks in descending files, so a reader's
+// ranks list their files in descending order.
+func reverseMap(globalRank, ntasks, nfiles int) int {
+	return nfiles - 1 - ContiguousMap(globalRank, ntasks, nfiles)
+}
+
+// TestMappedOpenAllocsScale pins the metadata exchange's cost at scale:
+// the identity open of 1024 ranks over 16 physical files (ParOpen's read
+// mode) allocates O(owned ranks + files read) per reader, not O(N). A
+// per-reader copy of the N-entry mapping and owner table costs several
+// hundred thousand mallocs here.
+func TestMappedOpenAllocsScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-rank open")
+	}
+	const n, nfiles, budget = 1024, 16, 100_000
+	fsys := fsio.NewOS(t.TempDir())
+	mpi.Run(n, func(c *mpi.Comm) {
+		f, err := ParOpen(c, fsys, "scale.sion", WriteMode, &Options{ChunkSize: 512, FSBlockSize: 512, NFiles: nfiles})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f.Write(rankPayload(c.Rank(), 100))
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	var before, after runtime.MemStats
+	mpi.Run(n, func(c *mpi.Comm) {
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		c.Barrier()
+		mf, err := ParOpenMapped(c, fsys, "scale.sion", ReadMode, []int{c.Rank()}, nil)
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h, _ := mf.Rank(c.Rank())
+		got := make([]byte, 100)
+		if _, err := io.ReadFull(h, got); err != nil || !bytes.Equal(got, rankPayload(c.Rank(), 100)) {
+			t.Errorf("rank %d: read back mismatch (%v)", c.Rank(), err)
+		}
+		mf.Close()
+	})
+	d := after.Mallocs - before.Mallocs
+	t.Logf("identity open of %d ranks over %d files: %d mallocs", n, nfiles, d)
+	if d > budget {
+		t.Errorf("identity open of %d ranks over %d files: %d mallocs, want ≤ %d", n, nfiles, d, budget)
+	}
+}
+
+// TestCollectiveReadParserIsCollector: a collective ParOpen read whose
+// groups straddle two physical files must leave each file with only its
+// collectors as readers — the metadata parser of a file is one of them,
+// never a member that would otherwise not touch it.
+func TestCollectiveReadParserIsCollector(t *testing.T) {
+	const n, group = 8, 3 // groups {0,1,2} {3,4,5} {6,7}; files {0-3} {4-7}
+	fs := simfs.New(simfs.Jugene())
+	sizes := make([]int, n)
+	for r := range sizes {
+		sizes[r] = 3000 + 211*r
+	}
+	e := vtime.NewEngine()
+	mpi.RunSim(e, n, mpi.DefaultCost, func(c *mpi.Comm) {
+		f, err := ParOpen(c, fs.View(c.Rank(), c.Proc()), "strad.sion", WriteMode, &Options{ChunkSize: 4096, NFiles: 2})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f.Write(rankPayload(c.Rank(), sizes[c.Rank()]))
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	e2 := vtime.NewEngine()
+	mpi.RunSim(e2, n, mpi.DefaultCost, func(c *mpi.Comm) {
+		r, err := ParOpen(c, fs.View(c.Rank(), c.Proc()), "strad.sion", ReadMode, &Options{CollectorGroup: group})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if g, _ := r.Collective(); g != group {
+			t.Errorf("rank %d: collective group %d, want %d", c.Rank(), g, group)
+		}
+		got := make([]byte, sizes[c.Rank()])
+		if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, rankPayload(c.Rank(), sizes[c.Rank()])) {
+			t.Errorf("rank %d: read back mismatch (%v)", c.Rank(), err)
+		}
+		if !r.EOF() {
+			t.Errorf("rank %d: EOF not reached", c.Rank())
+		}
+		r.Close()
+	})
+	for k := 0; k < 2; k++ {
+		st, ok := fs.Stats(fileName("strad.sion", k))
+		if !ok {
+			t.Fatalf("physical file %d missing", k)
+		}
+		if st.ReaderTasks > 2 {
+			t.Errorf("physical file %d: %d reader tasks, want ≤ 2 (its collectors)", k, st.ReaderTasks)
 		}
 	}
 }

@@ -77,15 +77,16 @@ type Options struct {
 	// local tasks designate their first member as a collector, and only
 	// the collectors touch the physical file.
 	//
-	// In write mode, members buffer their data and ship it to the
-	// collector, which issues one large write per member chunk region; the
-	// resulting multifile is byte-identical to one written directly. In
-	// read mode, the collector issues one large read per member chunk
-	// region and scatters the data, so at most ⌈ntasks/group⌉ tasks of a
-	// physical file open it or issue read requests. Members never open the
-	// physical file at all. ParOpenMapped honors the option the same way,
-	// grouping consecutive reader ranks: its collectors fetch one dense
-	// span per (file, block) covering the group's owned chunk runs.
+	// In write mode, groups are consecutive local tasks of one physical
+	// file; members buffer their data and ship it to the collector, which
+	// issues one large write per member chunk region, and the resulting
+	// multifile is byte-identical to one written directly. In read mode
+	// (ParOpen and ParOpenMapped alike), groups are consecutive comm ranks
+	// and may span physical files; each collector issues one coalesced
+	// span read per (file, block) covering its group's chunks and scatters
+	// the logical streams, so only the ⌈ntasks/group⌉ collectors open
+	// physical files or issue read requests. Members never open the
+	// physical file at all.
 	//
 	// Memory: collective read prefetches each task's complete logical
 	// stream into host memory at open (and the collector transiently
