@@ -198,8 +198,8 @@ func BenchmarkTable8Chaos(b *testing.B) {
 
 // BenchmarkTable9Cluster regenerates the clustered serving-tier table;
 // the metric is the independent-caches/cluster backend read-request
-// ratio — how much the consistent-hash ring with peer fill and hot
-// replication saves over N independent caches on the same zipfian storm.
+// ratio — how much the consistent-hash ring (one owner per block) with
+// peer fill saves over N independent caches on the same zipfian storm.
 // Byte identity (including across join/leave churn), the bounded churn
 // tail, and seed-exact replay are asserted inside the experiment, so the
 // run fails loudly rather than reporting a bad number.

@@ -1,14 +1,14 @@
 // Command sionrouter fronts a multifile with a cluster of serve nodes
 // (internal/cluster): blocks are consistent-hashed across N in-process
-// serve instances, the hottest blocks are replicated to ring successors,
-// and nodes fill their caches from each other before touching the
-// backend — one process, but the cluster data path (ring routing, peer
-// fill, failover) that a multi-host deployment would use.
+// serve instances, each block owned by its ring primary, and nodes fill
+// their caches from each other before touching the backend — one
+// process, but the cluster data path (ring routing, peer fill, failover)
+// that a multi-host deployment would use.
 //
 // Usage:
 //
 //	sionrouter [-addr :8080] [-nodes 3] [-cache-mb 64] [-block N]
-//	           [-retries 4] [-replicate 2] [-hot-min 64] [-vnodes 64]
+//	           [-retries 4] [-vnodes 64]
 //	           [-backend posix|objstore[,profile]] <multifile>
 //
 // Endpoints (the /rank and /ranks read surface is internal/readhttp,
@@ -26,14 +26,12 @@
 //	GET  /healthz                aggregated breaker state; 503 only when
 //	                             every node is degraded (single nodes are
 //	                             routed around, not surfaced)
-//	GET  /cluster                membership and hot-set summary
+//	GET  /cluster                membership
 //	POST /cluster/join?id=<id>   add a serve node to the ring
 //	POST /cluster/leave?id=<id>  drain a node off the ring
-//	POST /cluster/rebalance      replicate the current hot set now
 //
-// Reads that lose every ring replica answer 503 + Retry-After, mirroring
-// sionserve's degraded contract. A hot-set rebalance also runs on a
-// background ticker.
+// Reads that lose every ring node answer 503 + Retry-After, mirroring
+// sionserve's degraded contract.
 //
 // With -pprof the net/http/pprof handlers are mounted under
 // /debug/pprof/. Every response echoes an X-Request-ID (adopted from the
@@ -79,10 +77,7 @@ type router struct {
 // lines. Handler tests capture records via logger.SetHook.
 var logger = obs.NewLogger(os.Stderr)
 
-const (
-	shutdownTimeout = 10 * time.Second
-	rebalanceEvery  = 5 * time.Second
-)
+const shutdownTimeout = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -91,8 +86,6 @@ func main() {
 	block := flag.Int64("block", 0, "cache block size in bytes (0 = the multifile's FS block size)")
 	retries := flag.Int("retries", resil.DefaultMaxAttempts,
 		"max attempts per backend read under transient faults (1 disables retries)")
-	replicate := flag.Int("replicate", 2, "ring replicas per hot block, primary included (1 disables)")
-	hotMin := flag.Int64("hot-min", 64, "cache hits at which a block counts as hot")
 	vnodes := flag.Int("vnodes", 64, "virtual ring points per node")
 	backend := backendflag.Flag()
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -114,12 +107,7 @@ func main() {
 		os.Exit(2)
 	}
 	rt := &router{
-		c: cluster.New(&cluster.Config{
-			VNodes:       *vnodes,
-			ReplicateHot: *replicate,
-			HotMinHits:   *hotMin,
-			Metrics:      reg,
-		}),
+		c:     cluster.New(&cluster.Config{VNodes: *vnodes, Metrics: reg}),
 		fsys:  stack.FS,
 		name:  flag.Arg(0),
 		slow:  time.Duration(*slowMs) * time.Millisecond,
@@ -140,21 +128,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	// Hot blocks drift with the workload; fold fresh LRU hit reports into
-	// ring replicas on a fixed cadence (and on demand via the endpoint).
-	go func() {
-		t := time.NewTicker(rebalanceEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				rt.c.RebalanceHot()
-			}
-		}
-	}()
 
 	done := make(chan error, 1)
 	go func() {
@@ -226,15 +199,14 @@ func (rt *router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}{Status: status, Nodes: rt.c.Health()})
 }
 
-// handleCluster summarizes membership and the tracked hot set.
+// handleCluster summarizes membership.
 func (rt *router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, struct {
-		Nodes      []string `json:"nodes"`
-		HotTracked int      `json:"hot_tracked"`
-	}{Nodes: rt.c.NodeIDs(), HotTracked: rt.c.HotTracked()})
+		Nodes []string `json:"nodes"`
+	}{Nodes: rt.c.NodeIDs()})
 }
 
-// handleClusterOp routes POST /cluster/{join,leave,rebalance}.
+// handleClusterOp routes POST /cluster/{join,leave}.
 func (rt *router) handleClusterOp(w http.ResponseWriter, r *http.Request) {
 	op := strings.TrimPrefix(r.URL.Path, "/cluster/")
 	if r.Method != http.MethodPost {
@@ -262,11 +234,6 @@ func (rt *router) handleClusterOp(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-	case "rebalance":
-		writeJSON(w, struct {
-			Replicated int `json:"replicated"`
-		}{Replicated: rt.c.RebalanceHot()})
-		return
 	default:
 		http.NotFound(w, r)
 		return

@@ -179,14 +179,6 @@ func TestRouterClusterOps(t *testing.T) {
 	if rec := post(t, mux, "/cluster/frobnicate"); rec.Code != http.StatusNotFound {
 		t.Errorf("unknown op: status %d, want 404", rec.Code)
 	}
-	var reb struct {
-		Replicated int `json:"replicated"`
-	}
-	if rec := post(t, mux, "/cluster/rebalance"); rec.Code != 200 {
-		t.Errorf("rebalance: status %d", rec.Code)
-	} else if err := json.Unmarshal(rec.Body.Bytes(), &reb); err != nil {
-		t.Errorf("rebalance body %q: %v", rec.Body.String(), err)
-	}
 }
 
 // TestRouterHealthzAndStats pins the read-only JSON surfaces: a healthy

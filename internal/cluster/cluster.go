@@ -1,16 +1,15 @@
 // Package cluster scales the read-serving tier (internal/serve)
 // horizontally: a Cluster is a router that consistent-hashes
-// (physical file, cache block) across N serve nodes on a hash ring,
-// replicates the hottest blocks to K nodes, and lets nodes fill their
-// caches from each other before falling back to the backend — so a block
-// is read from the file system once per cluster, not once per node. This
-// is the aggregator/broadcast structure of collective-buffering models
-// (Zhang et al., arXiv:0901.0134) and CkIO's over-decomposed reader layer
-// (arXiv:2411.18593) applied to the serving tier: the tab6 zipfian
-// workload that melts one node spreads across the ring, and the working
-// set is cached once cluster-wide instead of once per node.
+// (physical file, cache block) across N serve nodes on a hash ring and
+// lets nodes fill their caches from each other before falling back to the
+// backend — so a block is read from the file system once per cluster, not
+// once per node. This is the aggregator/broadcast structure of
+// collective-buffering models (Zhang et al., arXiv:0901.0134) and CkIO's
+// single-owner reader layer (arXiv:2411.18593) applied to the serving
+// tier: every block has one owning node, and the working set is cached
+// once cluster-wide instead of once per node.
 //
-// Four mechanisms do the work:
+// Three mechanisms do the work:
 //
 //   - Consistent-hash routing (ring.go): every cache block has a primary
 //     node and a deterministic successor order. A node joining or leaving
@@ -20,16 +19,11 @@
 //     other nodes' Peek (a passive cache-only lookup) before its fetcher
 //     touches the backend. A block that any node already holds spreads
 //     through the cluster without another backend read.
-//   - Hot-block replication: RebalanceHot merges the nodes' shard-LRU hit
-//     reports (serve.HotBlocks), tracks the hottest blocks, and
-//     pre-materializes them on the first ReplicateHot ring successors
-//     (cheap, via peer fill). Reads of a hot block rotate across its
-//     replicas instead of hammering the primary.
 //   - Failure routing: nodes expose their breaker state (serve.Health,
-//     serve.Degraded); the router tries healthy replicas first and fails
-//     over past open-circuit, closed, or transiently failing nodes. Only
-//     when every replica is down does a read fail, with a typed
-//     serve.ErrDegraded so front ends can answer 503 + Retry-After.
+//     serve.Degraded); the router tries healthy nodes first, in ring
+//     order, and fails over past open-circuit, closed, or transiently
+//     failing nodes. Only when every node is down does a read fail, with
+//     a typed serve.ErrDegraded so front ends can answer 503 + Retry-After.
 //
 // Clients call Open and get an ordinary serve.Handle (Read, Seek,
 // ReadLogicalAt, KeyReader): the Handle reads through the Cluster's
@@ -42,7 +36,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	sion "repro/internal/core"
 	"repro/internal/fsio"
@@ -65,19 +58,6 @@ type Config struct {
 	// larger ring.
 	VNodes int
 
-	// ReplicateHot is the number of ring successors a hot block is
-	// replicated to, including its primary (default 2; 1 disables
-	// replication). Reads of a hot block rotate across its replicas.
-	ReplicateHot int
-
-	// HotMinHits is the per-entry cache hit count at which a block counts
-	// as hot when RebalanceHot merges the nodes' shard-LRU reports
-	// (default 64).
-	HotMinHits int64
-
-	// MaxHot caps the tracked hot set (default 256 blocks).
-	MaxHot int
-
 	// Metrics, when non-nil, is the obs registry the cluster and every
 	// node joined to it register their instruments in (nil gives the
 	// cluster a private registry, reachable via Metrics()). Nodes'
@@ -95,15 +75,6 @@ func resolveConfig(cfg *Config) Config {
 	if c.VNodes <= 0 {
 		c.VNodes = 64
 	}
-	if c.ReplicateHot <= 0 {
-		c.ReplicateHot = 2
-	}
-	if c.HotMinHits <= 0 {
-		c.HotMinHits = 64
-	}
-	if c.MaxHot <= 0 {
-		c.MaxHot = 256
-	}
 	return c
 }
 
@@ -116,11 +87,6 @@ type Node struct {
 // Server returns the node's underlying serve.Server (its stats, health,
 // and cache surface).
 func (n *Node) Server() *serve.Server { return n.srv }
-
-type hotKey struct {
-	file  int
-	block int64
-}
 
 // Cluster routes reads across serve nodes on a consistent-hash ring. See
 // the package documentation for the mechanism.
@@ -135,22 +101,17 @@ type Cluster struct {
 	nodes      []*Node // sorted by ID
 	ring       *ring
 
-	hotMu sync.RWMutex
-	hot   map[hotKey]struct{}
-
-	rr atomic.Uint64 // rotates reads across hot-block replicas
-
 	// m holds the routing counters as obs instruments (Stats() reads
 	// them); the same registry carries every node's serve families,
 	// labeled node=<id>.
 	m *clusterMetrics
 }
 
-var _ serve.SpanFileReaderAt = (*Cluster)(nil)
+var _ serve.FileReaderAt = (*Cluster)(nil)
 
 // New builds an empty cluster; Join adds serve nodes to it.
 func New(cfg *Config) *Cluster {
-	c := &Cluster{cfg: resolveConfig(cfg), hot: make(map[hotKey]struct{})}
+	c := &Cluster{cfg: resolveConfig(cfg)}
 	c.m = newClusterMetrics(c.cfg.Metrics, c)
 	return c
 }
@@ -371,104 +332,15 @@ func (c *Cluster) peerFill(selfID string, file int, block int64) ([]byte, bool) 
 	return nil, false
 }
 
-// isHot reports whether (file, block) is in the tracked hot set.
-func (c *Cluster) isHot(file int, block int64) bool {
-	c.hotMu.RLock()
-	defer c.hotMu.RUnlock()
-	_, ok := c.hot[hotKey{file, block}]
-	return ok
-}
-
-// HotTracked returns the size of the tracked hot set.
-func (c *Cluster) HotTracked() int {
-	c.hotMu.RLock()
-	defer c.hotMu.RUnlock()
-	return len(c.hot)
-}
-
-// RebalanceHot merges the nodes' shard-LRU hit reports into the hot set
-// (the hottest MaxHot blocks with at least HotMinHits hits) and
-// pre-materializes each hot block on its first ReplicateHot ring
-// successors — cheaply, because the replicas fill from the primary's
-// cache via peer fill, not from the backend. Reads of hot blocks then
-// rotate across the replicas. Call it periodically (cmd/sionrouter does;
-// tab9 calls it every few dozen clients); it returns the tracked hot-set
-// size. Safe for concurrent use with reads and membership changes.
-func (c *Cluster) RebalanceHot() int {
-	c.mu.RLock()
-	nodes, rg, bs := c.nodes, c.ring, c.blockBytes
-	c.mu.RUnlock()
-	if len(nodes) == 0 {
-		c.hotMu.Lock()
-		c.hot = make(map[hotKey]struct{})
-		c.hotMu.Unlock()
-		return 0
-	}
-	merged := make(map[hotKey]int64)
-	for _, n := range nodes {
-		for _, hb := range n.srv.HotBlocks(c.cfg.HotMinHits) {
-			merged[hotKey{hb.File, hb.Block}] += hb.Hits
-		}
-	}
-	list := make([]serve.HotBlock, 0, len(merged))
-	for k, hits := range merged {
-		list = append(list, serve.HotBlock{File: k.file, Block: k.block, Hits: hits})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Hits != list[j].Hits {
-			return list[i].Hits > list[j].Hits
-		}
-		if list[i].File != list[j].File {
-			return list[i].File < list[j].File
-		}
-		return list[i].Block < list[j].Block
-	})
-	if len(list) > c.cfg.MaxHot {
-		list = list[:c.cfg.MaxHot]
-	}
-	newHot := make(map[hotKey]struct{}, len(list))
-	for _, hb := range list {
-		newHot[hotKey{hb.File, hb.Block}] = struct{}{}
-	}
-	c.hotMu.Lock()
-	c.hot = newHot
-	c.hotMu.Unlock()
-
-	if k := c.cfg.ReplicateHot; k > 1 {
-		for _, hb := range list {
-			cands := rg.lookup(blockHash(hb.File, hb.Block))
-			for i := 0; i < k && i < len(cands); i++ {
-				n := nodes[cands[i]]
-				if _, ok := n.srv.Peek(hb.File, hb.Block); ok {
-					continue
-				}
-				// Best-effort: a degraded or racing-departed replica just
-				// stays cold until the next rebalance.
-				c.m.rebalanceMoves.Inc()
-				buf := make([]byte, bs)
-				_ = n.srv.ReadFileAt(hb.File, buf, hb.Block*bs)
-			}
-		}
-	}
-	return len(list)
-}
-
 // ReadFileAt routes [off, off+len(p)) of physical file `file` block by
-// block across the ring: each block goes to its primary (or rotates
-// across its replicas when hot), failing over along the ring past
-// degraded, closed, or transiently failing nodes. It fails with a typed
-// serve.ErrDegraded only when every replica of a block is down; a
-// permanent error (the backend answering wrongly) is returned as-is,
-// since every node would fail identically.
-func (c *Cluster) ReadFileAt(file int, p []byte, off int64) error {
-	return c.ReadFileAtSpan(file, p, off, nil)
-}
-
-// ReadFileAtSpan is ReadFileAt with a breadcrumb trail: sp (nil is fine)
-// additionally records each failover hop, and the node that serves each
-// block records its cache/backend crumbs on the same span (see
-// serve.ReadFileAtSpan).
-func (c *Cluster) ReadFileAtSpan(file int, p []byte, off int64, sp *obs.Span) error {
+// block across the ring: each block goes to its primary, failing over
+// along the ring past degraded, closed, or transiently failing nodes. It
+// fails with a typed serve.ErrDegraded only when every node is down for a
+// block; a permanent error (the backend answering wrongly) is returned
+// as-is, since every node would fail identically. sp (nil records
+// nothing) collects each failover hop, and the node that serves each
+// block records its cache/backend crumbs on the same span.
+func (c *Cluster) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	c.mu.RLock()
 	closed, name := c.closed, c.name
 	nodes, rg, bs := c.nodes, c.ring, c.blockBytes
@@ -502,26 +374,11 @@ func (c *Cluster) ReadFileAtSpan(file int, p []byte, off int64, sp *obs.Span) er
 func (c *Cluster) readBlock(nodes []*Node, rg *ring, file int, b int64, p []byte, off int64, sp *obs.Span) error {
 	c.m.requests.Inc()
 	cands := rg.lookup(blockHash(file, b))
-	// Rotate reads of a hot block across its replicas so the primary is
-	// not the only node paying for popularity.
-	order := cands
-	if k := c.cfg.ReplicateHot; k > 1 && len(cands) > 1 && c.isHot(file, b) {
-		if k > len(cands) {
-			k = len(cands)
-		}
-		rot := int(c.rr.Add(1) % uint64(k))
-		order = make([]int, 0, len(cands))
-		for i := 0; i < k; i++ {
-			order = append(order, cands[(rot+i)%k])
-		}
-		order = append(order, cands[k:]...)
-		c.m.rotations.Inc()
-	}
-	// Healthy replicas first: a node with any open circuit is tried last
+	// Healthy nodes first: a node with any open circuit is tried last
 	// (its cache may still answer, but it must not absorb primary load).
-	try := make([]*Node, 0, len(order))
+	try := make([]*Node, 0, len(cands))
 	var degraded []*Node
-	for _, ni := range order {
+	for _, ni := range cands {
 		if n := nodes[ni]; n.srv.Degraded() {
 			degraded = append(degraded, n)
 		} else {
@@ -532,7 +389,7 @@ func (c *Cluster) readBlock(nodes []*Node, rg *ring, file int, b int64, p []byte
 
 	var lastErr error
 	for i, n := range try {
-		err := n.srv.ReadFileAtSpan(file, p, off, sp)
+		err := n.srv.ReadFileAt(file, p, off, sp)
 		if err == nil {
 			if i > 0 {
 				c.m.failovers.Add(int64(i))
@@ -574,7 +431,6 @@ type Stats struct {
 	Requests        int64 // block-granular routed reads
 	Failovers       int64 // extra replica attempts after a failed one
 	AllReplicasDown int64 // reads that exhausted every replica
-	HotTracked      int   // tracked hot blocks
 	HandlesOpened   int64
 	Serve           serve.Stats // sum over nodes
 	PerNode         []NodeStats
@@ -590,7 +446,6 @@ func (c *Cluster) Stats() Stats {
 		Requests:        c.m.requests.Value(),
 		Failovers:       c.m.failovers.Value(),
 		AllReplicasDown: c.m.allDown.Value(),
-		HotTracked:      c.HotTracked(),
 		HandlesOpened:   c.m.handles.Value(),
 	}
 	for _, n := range nodes {

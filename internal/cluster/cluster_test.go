@@ -187,14 +187,14 @@ func TestClusterJoinPeerFillsRemappedBlocks(t *testing.T) {
 	}
 }
 
-// TestClusterHotReplicationAndRotation pins hot-block handling: after
-// RebalanceHot a block past HotMinHits is resident on ReplicateHot nodes
-// (replicas warmed via peer fill, not the backend), and subsequent reads
-// rotate across the replicas.
-func TestClusterHotReplicationAndRotation(t *testing.T) {
+// TestClusterBlockOwnedByPrimary pins single-owner routing: repeated
+// reads of one block all land on its ring primary, so after 8 identical
+// reads exactly that node holds the block, the backend was read once,
+// and no peer fill happened.
+func TestClusterBlockOwnedByPrimary(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "h.sion", 8)
-	cl := New(&Config{VNodes: 16, ReplicateHot: 2, HotMinHits: 4})
+	cl := New(&Config{VNodes: 16})
 	defer cl.Close()
 	nodes := make([]*Node, 3)
 	for i := range nodes {
@@ -214,64 +214,32 @@ func TestClusterHotReplicationAndRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Identify the hot block from the owning node's LRU report.
-	var hotFile int
-	var hotBlock int64
-	found := false
-	for _, n := range nodes {
-		if hb := n.Server().HotBlocks(4); len(hb) > 0 {
-			hotFile, hotBlock, found = hb[0].File, hb[0].Block, true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no node reports a hot block after 8 identical reads")
-	}
-	holders := func() (hold []*Node) {
-		for _, n := range nodes {
-			if _, ok := n.Server().Peek(hotFile, hotBlock); ok {
-				hold = append(hold, n)
-			}
-		}
-		return hold
-	}
-	if h := holders(); len(h) != 1 {
-		t.Fatalf("before rebalance the hot block is on %d nodes, want exactly its primary", len(h))
-	}
-	backendBefore := cl.Stats().Serve.BackendReads
-
-	if n := cl.RebalanceHot(); n == 0 {
-		t.Fatal("RebalanceHot tracked nothing")
-	}
-	if cl.HotTracked() == 0 {
-		t.Fatal("hot set empty after rebalance")
-	}
-	hold := holders()
-	if len(hold) < 2 {
-		t.Fatalf("hot block replicated to %d nodes, want >= 2", len(hold))
-	}
-	if got := cl.Stats().Serve.BackendReads; got != backendBefore {
-		t.Fatalf("replication read the backend (%d -> %d reads): replicas must warm via peer fill",
-			backendBefore, got)
-	}
-
-	// Reads now rotate across the replicas: both holders' hit counters move.
-	before := make([]int64, len(hold))
-	for i, n := range hold {
-		before[i] = n.Server().Stats().Hits
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, n := range hold {
-		if n.Server().Stats().Hits == before[i] {
-			t.Fatalf("replica %s saw no reads: hot reads are not rotating", n.ID)
-		}
-	}
 	if !bytes.Equal(buf, payloads[0][:64]) {
-		t.Fatal("rotated reads returned wrong bytes")
+		t.Fatal("reads returned wrong bytes")
+	}
+	first := cl.Layout().RankBlocks(0)[0]
+	file, block := first.File, first.Off/cl.BlockBytes()
+	var holders []string
+	for _, n := range nodes {
+		if _, ok := n.Server().Peek(file, block); ok {
+			holders = append(holders, n.ID)
+		}
+	}
+	cl.mu.RLock()
+	primary := cl.nodes[cl.ring.lookup(blockHash(file, block))[0]].ID
+	cl.mu.RUnlock()
+	if len(holders) != 1 || holders[0] != primary {
+		t.Fatalf("block (%d, %d) held by %v, want only its primary %s", file, block, holders, primary)
+	}
+	st := cl.Stats()
+	if st.Serve.BackendReads != 1 {
+		t.Fatalf("%d backend reads for 8 reads of one block, want 1", st.Serve.BackendReads)
+	}
+	if st.Serve.PeerFills != 0 {
+		t.Fatalf("%d peer fills, want 0: only the primary may serve the block", st.Serve.PeerFills)
+	}
+	if st.Requests != 8 {
+		t.Fatalf("%d routed block reads, want 8", st.Requests)
 	}
 }
 
@@ -433,14 +401,14 @@ func TestClusterMembership(t *testing.T) {
 
 // TestClusterConcurrentChurnRace is the -race exercise for the serving
 // tier: concurrent clients Open and read through the router while nodes
-// join and leave, stats/health/hot-rebalance run, and — on a second,
+// join and leave, stats/health run, and — on a second,
 // live multifile — a tail server's Tail/Follow/Poll/Stats/Health are
 // driven alongside. Reads must stay byte-identical throughout (a core
 // node never leaves, so every block always has a live replica).
 func TestClusterConcurrentChurnRace(t *testing.T) {
 	fsys := fsio.NewOS(t.TempDir())
 	payloads := writeMultifile(t, fsys, "r.sion", 6)
-	cl := New(&Config{VNodes: 16, HotMinHits: 2})
+	cl := New(&Config{VNodes: 16})
 	defer cl.Close()
 	for i := 0; i < 2; i++ { // the core: never leaves
 		if _, err := cl.Join(fmt.Sprintf("core-%d", i), fsys, "r.sion", &serve.Config{CacheBytes: 1 << 20}); err != nil {
@@ -518,7 +486,7 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// Stats / health / hot-rebalance observers.
+	// Stats / health observers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -531,7 +499,6 @@ func TestClusterConcurrentChurnRace(t *testing.T) {
 			_ = cl.Stats()
 			_ = cl.Health()
 			_ = cl.Degraded()
-			_ = cl.RebalanceHot()
 			_ = ts.Stats()
 			_ = ts.Health()
 		}

@@ -16,11 +16,6 @@ type clusterMetrics struct {
 	failovers *obs.Counter
 	allDown   *obs.Counter
 	handles   *obs.Counter
-	// rotations counts hot-block reads served through the replica
-	// rotation (rather than pinned to the primary); rebalanceMoves the
-	// replica pre-materializations RebalanceHot attempted.
-	rotations      *obs.Counter
-	rebalanceMoves *obs.Counter
 }
 
 func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
@@ -36,10 +31,6 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 		"reads that exhausted every replica")
 	m.handles = reg.Counter("cluster_handles_opened_total",
 		"client sessions opened through the router")
-	m.rotations = reg.Counter("cluster_hot_rotations_total",
-		"hot-block reads served through the replica rotation")
-	m.rebalanceMoves = reg.Counter("cluster_rebalance_moves_total",
-		"hot-block replica fills attempted by RebalanceHot")
 	reg.GaugeFunc("cluster_nodes",
 		"serve nodes currently on the ring",
 		func() float64 {
@@ -47,8 +38,5 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 			defer c.mu.RUnlock()
 			return float64(len(c.nodes))
 		})
-	reg.GaugeFunc("cluster_hot_tracked",
-		"blocks in the tracked hot set",
-		func() float64 { return float64(c.HotTracked()) })
 	return m
 }

@@ -73,7 +73,7 @@ func buildRing(ids []string, vnodes int) *ring {
 
 // lookup returns every node index in ring order starting from the first
 // point clockwise of key: index 0 is the block's primary, the rest are
-// its failover (and hot-replica) successors. The slice is freshly
+// its failover successors. The slice is freshly
 // allocated and never empty for a non-empty ring.
 func (r *ring) lookup(key uint64) []int {
 	if len(r.points) == 0 {

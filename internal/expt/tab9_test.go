@@ -36,7 +36,7 @@ func TestTable9Findings(t *testing.T) {
 		t.Errorf("churn backend reads %.0f lost the cluster's reduction (independent %.0f)", chu, ind)
 	}
 	// Join/leave remapping is served by peer fills, and more of them than
-	// the steady run's hot replication alone.
+	// the steady run, where every block stays with its one owner.
 	if pfSteady, pfChurn := cell(t, r, 1, colPeerFills), cell(t, r, 2, colPeerFills); pfChurn <= pfSteady {
 		t.Errorf("churn peer fills %.0f not above steady %.0f — remapped blocks did not fill from peers", pfChurn, pfSteady)
 	}

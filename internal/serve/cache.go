@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -30,7 +29,6 @@ func (k blockKey) hash() uint64 {
 type cacheEntry struct {
 	key  blockKey
 	data []byte
-	hits int64 // lookups served since insertion (feeds HotBlocks)
 }
 
 type cacheShard struct {
@@ -94,9 +92,7 @@ func (c *blockCache) getAt(si int, k blockKey) ([]byte, bool) {
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
-	ent := el.Value.(*cacheEntry)
-	ent.hits++
-	return ent.data, true
+	return el.Value.(*cacheEntry).data, true
 }
 
 // put inserts (or refreshes) a block and evicts from the shard's LRU tail
@@ -148,35 +144,6 @@ func (c *blockCache) invalidate(k blockKey) {
 		delete(s.items, k)
 		s.bytes -= int64(len(ent.data))
 	}
-}
-
-// hot lists the resident blocks with at least minHits lookups, hottest
-// first (ties on (file, block) so the order is deterministic). Hit counts
-// are per-entry and reset when a block is evicted and refetched, so the
-// report tracks the *current* working set, not all-time popularity.
-func (c *blockCache) hot(minHits int64) []HotBlock {
-	var out []HotBlock
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, el := range s.items {
-			ent := el.Value.(*cacheEntry)
-			if ent.hits >= minHits {
-				out = append(out, HotBlock{File: ent.key.file, Block: ent.key.block, Hits: ent.hits})
-			}
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hits != out[j].Hits {
-			return out[i].Hits > out[j].Hits
-		}
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Block < out[j].Block
-	})
-	return out
 }
 
 // cachedBytes sums the resident bytes across shards (stats snapshot).

@@ -186,46 +186,83 @@ func TestPeerFillSkipsBackend(t *testing.T) {
 	}
 }
 
-// TestHotBlocksReportsWorkingSet pins the shard-LRU hit-count report the
-// cluster router replicates from: repeatedly read blocks accumulate hits,
-// the report is sorted hottest-first, and the threshold filters cold ones.
-func TestHotBlocksReportsWorkingSet(t *testing.T) {
-	fsys := fsio.NewOS(t.TempDir())
-	writeMultifile(t, fsys, "h.sion", 4)
-	s, err := New(fsys, "h.sion", &Config{CacheBytes: 1 << 20})
+// cappedFS reports a ranged-read ceiling in its capability descriptor and
+// records the size of every ReadAt issued through it.
+type cappedFS struct {
+	fsio.FileSystem
+	maxRead int64
+	mu      sync.Mutex
+	sizes   []int
+}
+
+func (c *cappedFS) Capabilities() fsio.Capabilities {
+	return fsio.Capabilities{MaxReadBytes: c.maxRead}
+}
+
+func (c *cappedFS) Open(name string) (fsio.File, error) {
+	fh, err := c.FileSystem.Open(name)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	defer s.Close()
-	h, err := s.Open(0)
-	if err != nil {
-		t.Fatal(err)
+	return &cappedFile{File: fh, fs: c}, nil
+}
+
+func (c *cappedFS) largest() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := 0
+	for _, n := range c.sizes {
+		m = max(m, n)
 	}
-	buf := make([]byte, 64)
-	for i := 0; i < 5; i++ { // block of offset 0 read 5x
-		if _, err := h.ReadLogicalAt(buf, 0); err != nil {
+	return m
+}
+
+type cappedFile struct {
+	fsio.File
+	fs *cappedFS
+}
+
+func (f *cappedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.mu.Lock()
+	f.fs.sizes = append(f.fs.sizes, len(p))
+	f.fs.mu.Unlock()
+	return f.File.ReadAt(p, off)
+}
+
+// TestSpanReadsRespectMaxReadBytes pins the span ceiling derived from the
+// backend's MaxReadBytes capability: rounded down to whole 256-byte cache
+// blocks, never below one block, unbounded when the backend reports none.
+func TestSpanReadsRespectMaxReadBytes(t *testing.T) {
+	inner := fsio.NewOS(t.TempDir())
+	payloads := writeMultifile(t, inner, "m.sion", 4)
+	for _, tc := range []struct {
+		maxRead int64
+		want    int // largest backend read expected while streaming a rank
+	}{
+		{600, 512}, // rounded down to two blocks
+		{100, 256}, // floor of one block
+		{0, 1024},  // unbounded: a whole chunk (4 dense blocks) in one read
+	} {
+		fsys := &cappedFS{FileSystem: inner, maxRead: tc.maxRead}
+		s, err := New(fsys, "m.sion", &Config{CacheBytes: 1 << 20, MaxSpanGap: -1})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := h.ReadLogicalAt(buf, h.LogicalSize()-64); err != nil { // tail block once
-		t.Fatal(err)
-	}
-	hot := s.HotBlocks(4)
-	if len(hot) == 0 {
-		t.Fatal("no hot blocks reported after 5 identical reads")
-	}
-	if hot[0].Hits < 4 {
-		t.Fatalf("hottest block has %d hits, want >= 4", hot[0].Hits)
-	}
-	for i := 1; i < len(hot); i++ {
-		if hot[i].Hits > hot[i-1].Hits {
-			t.Fatal("HotBlocks not sorted hottest-first")
+		fsys.sizes = nil // drop the metadata reads of New
+		h, err := s.Open(1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	all := s.HotBlocks(0) // treated as 1
-	for _, hb := range all {
-		if hb.Hits < 1 {
-			t.Fatalf("HotBlocks(0) reported a zero-hit block: %+v", hb)
+		got := make([]byte, len(payloads[1]))
+		if _, err := h.ReadLogicalAt(got, 0); err != nil {
+			t.Fatal(err)
 		}
+		if !bytes.Equal(got, payloads[1]) {
+			t.Fatalf("MaxReadBytes %d: bytes differ", tc.maxRead)
+		}
+		if m := fsys.largest(); m != tc.want {
+			t.Errorf("MaxReadBytes %d: largest backend read %d B, want %d", tc.maxRead, m, tc.want)
+		}
+		s.Close()
 	}
 }

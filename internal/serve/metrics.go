@@ -14,8 +14,7 @@ import (
 // disagree.
 //
 // Cache traffic (hits, misses, evictions) is counted per shard: a skewed
-// workload shows up as one hot shard, which is exactly the signal the
-// hot-block replication of internal/cluster keys off.
+// workload shows up as one hot shard.
 //
 // Retries, give-ups, breaker opens, breaker states, and resident cache
 // bytes are NOT duplicated into instruments — they already live in

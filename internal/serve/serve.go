@@ -17,8 +17,8 @@
 //   - Singleflight and request coalescing (fetch.go): all backend reads
 //     of one physical file are issued by that file's fetcher goroutine.
 //     Concurrent misses of the same block resolve to a single backend
-//     read, and misses in nearby blocks — within one batch or within an
-//     optional batching window — are merged into dense span reads using
+//     read, and misses in nearby blocks — everything that queued up
+//     behind the previous fetch — are merged into dense span reads using
 //     the same gap-splitting span logic as the mapped collective open
 //     (sion.CoalesceExtents).
 //   - Cheap client sessions: Open returns a Handle holding only cursor
@@ -45,7 +45,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	sion "repro/internal/core"
 	"repro/internal/fsio"
@@ -95,19 +94,6 @@ type Config struct {
 	// trip is the break-even point — else sion.DefaultSpanGap; negative
 	// = merge only adjacent blocks).
 	MaxSpanGap int64
-
-	// MaxSpanBytes bounds one dense backend span read; longer spans are
-	// read in several requests of at most this size (default: the
-	// backend's MaxReadBytes capability rounded down to whole cache
-	// blocks; 0 = unbounded; negative = force one block per request).
-	MaxSpanBytes int64
-
-	// BatchWindow, when positive, makes a fetcher wait this long after
-	// the first miss of a batch so that misses of concurrent clients
-	// arriving within the window fuse into the same dense spans. The
-	// default 0 still batches everything queued behind an in-flight
-	// fetch, which is what matters at steady load.
-	BatchWindow time.Duration
 
 	// Retry is the backoff budget each backend span read runs under
 	// (transient failures per the fsio error contract are re-attempted;
@@ -188,8 +174,7 @@ type Server struct {
 	cache        *blockCache
 	blockBytes   int64
 	maxSpanGap   int64
-	maxSpanBytes int64
-	batchWindow  time.Duration
+	maxSpanBytes int64 // ranged-read ceiling per backend request (0 = unbounded)
 	retry        resil.Budget
 	breakerCfg   [2]int // resolved {threshold, cooldown}; threshold < 0 disables
 	peerFill     func(file int, block int64) ([]byte, bool)
@@ -217,14 +202,14 @@ func New(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	c := resolveConfig(cfg, layout.FSBlockSize(), fsio.CapabilitiesOf(fsys))
+	caps := fsio.CapabilitiesOf(fsys)
+	c := resolveConfig(cfg, layout.FSBlockSize(), caps)
 	s := &Server{
 		name:         name,
 		layout:       layout,
 		blockBytes:   c.BlockBytes,
 		maxSpanGap:   c.MaxSpanGap,
-		maxSpanBytes: c.MaxSpanBytes,
-		batchWindow:  c.BatchWindow,
+		maxSpanBytes: maxSpanBytes(caps, c.BlockBytes),
 		cache:        newBlockCache(c.CacheBytes, c.Shards),
 	}
 	s.applyResilience(c)
@@ -279,21 +264,23 @@ func resolveConfig(cfg *Config, fsblk int64, caps fsio.Capabilities) Config {
 	} else if c.MaxSpanGap < 0 {
 		c.MaxSpanGap = 0
 	}
-	if c.MaxSpanBytes == 0 {
-		c.MaxSpanBytes = caps.MaxReadBytes
-	} else if c.MaxSpanBytes < 0 {
-		c.MaxSpanBytes = c.BlockBytes
-	}
-	if c.MaxSpanBytes > 0 {
-		// Span requests are built from whole cache blocks; round the
-		// ceiling down to the block grid (never below one block — the
-		// backend splits oversized single requests itself).
-		c.MaxSpanBytes -= c.MaxSpanBytes % c.BlockBytes
-		if c.MaxSpanBytes < c.BlockBytes {
-			c.MaxSpanBytes = c.BlockBytes
-		}
-	}
 	return c
+}
+
+// maxSpanBytes bounds one dense backend span read: the backend's
+// MaxReadBytes capability (0 = unbounded) rounded down to whole cache
+// blocks, since span requests are built from whole blocks — but never
+// below one block (the backend splits oversized single requests itself).
+func maxSpanBytes(caps fsio.Capabilities, blockBytes int64) int64 {
+	m := caps.MaxReadBytes
+	if m <= 0 {
+		return 0
+	}
+	m -= m % blockBytes
+	if m < blockBytes {
+		m = blockBytes
+	}
+	return m
 }
 
 // applyResilience installs the resolved retry budget and breaker knobs.
@@ -382,25 +369,6 @@ func (s *Server) Peek(file int, block int64) ([]byte, bool) {
 	return s.cache.get(blockKey{file, block})
 }
 
-// HotBlock is one cache block with its observed hit count, the unit of
-// the hot-set report the cluster router replicates from.
-type HotBlock struct {
-	File  int
-	Block int64
-	Hits  int64
-}
-
-// HotBlocks lists the cache-resident blocks whose per-entry hit count
-// (accumulated by the shard LRUs since the block was last inserted) is at
-// least minHits, hottest first; ties break on (file, block) so the order
-// is deterministic. minHits < 1 is treated as 1.
-func (s *Server) HotBlocks(minHits int64) []HotBlock {
-	if minHits < 1 {
-		minHits = 1
-	}
-	return s.cache.hot(minHits)
-}
-
 // FileReaderAt reads a window of one physical multifile member through
 // some serving tier: a single Server (cache + fetchers), or a cluster
 // router fanning blocks out across many of them. Handles are generic over
@@ -409,35 +377,22 @@ func (s *Server) HotBlocks(minHits int64) []HotBlock {
 type FileReaderAt interface {
 	// ReadFileAt fills p with bytes [off, off+len(p)) of physical file
 	// `file`. Reads past EOF keep the zero fill (the multifile layout
-	// never maps logical bytes there).
-	ReadFileAt(file int, p []byte, off int64) error
-}
-
-// SpanFileReaderAt is the span-threading extension of FileReaderAt:
-// ReadFileAtSpan behaves exactly like ReadFileAt and additionally records
-// breadcrumbs (cache hits, backend reads, peer fills, retries) on sp.
-// *Server and cluster routers implement it; Handles use it when a span
-// is attached (Handle.SetSpan) and fall back to ReadFileAt otherwise.
-type SpanFileReaderAt interface {
-	FileReaderAt
-	ReadFileAtSpan(file int, p []byte, off int64, sp *obs.Span) error
+	// never maps logical bytes there). sp, when non-nil, collects the
+	// read's breadcrumbs (cache hits, backend reads, peer fills,
+	// retries); a nil sp records nothing.
+	ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error
 }
 
 // ReadFileAt serves [off, off+len(p)) of physical file `file` through the
 // cache, delegating misses to the file's fetcher, and counts the bytes as
 // served. It is the exported form of the internal read path, used by
-// Handles and by cluster routers addressing this node.
-func (s *Server) ReadFileAt(file int, p []byte, off int64) error {
-	return s.ReadFileAtSpan(file, p, off, nil)
-}
-
-// ReadFileAtSpan is ReadFileAt with a breadcrumb trail: sp (nil is fine)
-// accumulates what this read cost — cache hits/misses per block, and,
-// for reads that missed, the fetch batch's backend spans, peer fills,
-// flight hits, and retries. Batch-level costs are attributed to every
-// requester the batch answered (the fetcher serializes misses per file,
-// so a batch's work is genuinely shared).
-func (s *Server) ReadFileAtSpan(file int, p []byte, off int64, sp *obs.Span) error {
+// Handles and by cluster routers addressing this node. sp (nil records
+// nothing) accumulates what this read cost — cache hits/misses per
+// block, and, for reads that missed, the fetch batch's backend spans,
+// peer fills, flight hits, and retries. Batch-level costs are attributed
+// to every requester the batch answered (the fetcher serializes misses
+// per file, so a batch's work is genuinely shared).
+func (s *Server) ReadFileAt(file int, p []byte, off int64, sp *obs.Span) error {
 	if file < 0 || file >= len(s.fetchers) {
 		return fmt.Errorf("serve: %s: physical file %d outside 0..%d", s.name, file, len(s.fetchers)-1)
 	}
@@ -626,9 +581,8 @@ func copyBlockPortion(p []byte, off, b, bs int64, data []byte) {
 // clients each Open their own Handle.
 type Handle struct {
 	r      FileReaderAt
-	sr     SpanFileReaderAt // r, when it supports span threading (else nil)
-	span   *obs.Span        // attached request span (nil = no tracing)
-	name   string           // multifile base name (error messages)
+	span   *obs.Span // attached request span (nil = no tracing)
+	name   string    // multifile base name (error messages)
 	rank   int
 	blocks []sion.BlockExtent
 	base   []int64 // logical offset of each block extent's first byte
@@ -657,14 +611,12 @@ func NewHandle(layout *sion.Layout, rank int, r FileReaderAt) (*Handle, error) {
 		base[b] = size
 		size += be.Bytes
 	}
-	sr, _ := r.(SpanFileReaderAt)
-	return &Handle{r: r, sr: sr, name: layout.Name(), rank: rank, blocks: blocks, base: base, size: size}, nil
+	return &Handle{r: r, name: layout.Name(), rank: rank, blocks: blocks, base: base, size: size}, nil
 }
 
 // SetSpan attaches a request span to the handle: subsequent reads record
 // their breadcrumbs (cache hits, backend reads, peer fills, retries) on
-// sp, provided the underlying reader supports span threading (a *Server
-// or a cluster router does). SetSpan(nil) detaches. Like Read/Seek, the
+// sp. SetSpan(nil) detaches. Like Read/Seek, the
 // span belongs to the handle's goroutine; the HTTP front ends attach the
 // per-request span right after Open.
 func (h *Handle) SetSpan(sp *obs.Span) { h.span = sp }
@@ -717,13 +669,7 @@ func (h *Handle) ReadLogicalAt(p []byte, off int64) (int, error) {
 		if n > avail {
 			n = avail
 		}
-		var err error
-		if h.sr != nil && h.span != nil {
-			err = h.sr.ReadFileAtSpan(be.File, p[:n], be.Off+rel, h.span)
-		} else {
-			err = h.r.ReadFileAt(be.File, p[:n], be.Off+rel)
-		}
-		if err != nil {
+		if err := h.r.ReadFileAt(be.File, p[:n], be.Off+rel, h.span); err != nil {
 			return total, err
 		}
 		p = p[n:]

@@ -43,15 +43,15 @@ func NewTail(fsys fsio.FileSystem, name string, cfg *Config) (*Server, error) {
 		c = *cfg
 	}
 	c.BlockBytes = t.FSBlockSize()
-	c = resolveConfig(&c, t.FSBlockSize(), fsio.CapabilitiesOf(fsys))
+	caps := fsio.CapabilitiesOf(fsys)
+	c = resolveConfig(&c, t.FSBlockSize(), caps)
 	s := &Server{
 		name:          name,
 		tail:          t,
 		prevCommitted: make([]int64, t.NTasks()),
 		blockBytes:    c.BlockBytes,
 		maxSpanGap:    c.MaxSpanGap,
-		maxSpanBytes:  c.MaxSpanBytes,
-		batchWindow:   c.BatchWindow,
+		maxSpanBytes:  maxSpanBytes(caps, c.BlockBytes),
 		cache:         newBlockCache(c.CacheBytes, c.Shards),
 	}
 	s.applyResilience(c)
